@@ -13,11 +13,13 @@
 
 #include <cassert>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
+#include "memory/tracked_alloc.hpp"
 #include "memory/tracking.hpp"
 #include "sched/parallel.hpp"
 
@@ -153,13 +155,12 @@ class parray {
  private:
   explicit parray(std::size_t n) : n_(n) {
     if (n_ > 0) {
-      // Admission runs the fault injector and the budget check; commit
-      // only after the allocation succeeded, so a throw (real, injected,
-      // or a budget refusal) leaves the accounting untouched.
-      memory::alloc_admission adm(n_ * sizeof(T));
+      // n * sizeof(T) must not wrap to a small buffer that the caller
+      // then writes n elements into.
+      if (n_ > std::numeric_limits<std::size_t>::max() / sizeof(T))
+        throw std::bad_alloc();
       data_ = static_cast<T*>(
-          ::operator new(n_ * sizeof(T), std::align_val_t(alignof(T))));
-      adm.commit();
+          memory::tracked_allocate(n_ * sizeof(T), alignof(T)));
     }
   }
 
@@ -173,8 +174,7 @@ class parray {
       T* p = data_;
       parallel_for(0, n_, [p](std::size_t i) { p[i].~T(); });
     }
-    memory::note_free(n_ * sizeof(T));
-    ::operator delete(data_, std::align_val_t(alignof(T)));
+    memory::tracked_deallocate(data_, n_ * sizeof(T), alignof(T));
     data_ = nullptr;
     n_ = 0;
   }

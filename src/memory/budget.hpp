@@ -11,10 +11,10 @@
 // failure, so "out of budget" is a catchable, replayable error instead of
 // an OOM kill.
 //
-// Admission is reservation-based and race-tight: admit_alloc (tracking.hpp)
-// reserves the requested bytes against the limit with a fetch_add before
-// the real allocation, and note_alloc converts the reservation into live
-// bytes afterwards. Two threads racing past a naive check-then-allocate
+// Admission is reservation-based and race-tight: alloc_admission
+// (tracking.hpp) reserves the requested bytes against the limit with a
+// fetch_add before the real allocation, and its commit() converts the
+// reservation into live bytes afterwards. Two threads racing past a naive check-then-allocate
 // could overcommit; with the reservation they cannot — the governor is
 // byte-exact even under the real pool.
 //

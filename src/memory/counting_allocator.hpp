@@ -2,14 +2,15 @@
 //
 // Used for the dynamically-resizing pack buffers inside filter
 // (s.packToArray in the paper, Fig. 8), so that even transient grow/copy
-// allocations show up in the space accounting.
+// allocations show up in the space accounting. Allocations honour
+// alignof(T) and share parray's path (tracked_alloc.hpp), including its
+// huge-page backing once a buffer grows past huge_page_bytes.
 #pragma once
 
 #include <cstddef>
-#include <new>
 #include <vector>
 
-#include "memory/tracking.hpp"
+#include "memory/tracked_alloc.hpp"
 
 namespace pbds::memory {
 
@@ -23,18 +24,11 @@ class counting_allocator {
   counting_allocator(const counting_allocator<U>&) noexcept {}  // NOLINT
 
   T* allocate(std::size_t n) {
-    // Admission runs the fault injector and the budget check; commit only
-    // after the allocation succeeded, so a throw (real, injected, or a
-    // budget refusal) leaves the accounting untouched.
-    alloc_admission adm(n * sizeof(T));
-    T* p = static_cast<T*>(::operator new(n * sizeof(T)));
-    adm.commit();
-    return p;
+    return static_cast<T*>(tracked_allocate(n * sizeof(T), alignof(T)));
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
-    note_free(n * sizeof(T));
-    ::operator delete(p);
+    tracked_deallocate(p, n * sizeof(T), alignof(T));
   }
 
   friend bool operator==(const counting_allocator&,

@@ -22,11 +22,13 @@
 // filter pack buffers and flatten offsets never leak on out-of-memory
 // paths.
 //
-// The same choke point enforces the memory budget (budget.hpp): call sites
-// bracket the real allocation with admit_alloc (fault injection + budget
-// reservation; throws budget_exceeded on refusal) and note_alloc (converts
-// the reservation into live bytes). If the real allocator throws between
-// the two, retract_admission returns the reserved bytes.
+// The same choke point enforces the memory budget (budget.hpp):
+// alloc_admission (below) runs fault injection and reserves the bytes
+// against the budget (throwing budget_exceeded on refusal), and its
+// commit() converts the reservation into live bytes. If the raw allocation
+// throws in between, the admission's destructor retracts the reservation.
+// The only caller of that bracket is tracked_allocate (tracked_alloc.hpp),
+// which parray and counting_allocator share.
 #pragma once
 
 #include <atomic>
@@ -123,7 +125,7 @@ class space_meter {
 
 // --- allocation fault injection ---------------------------------------------
 //
-// Every tracked allocation site (parray's buffer, counting_allocator) calls
+// Every tracked allocation (tracked_allocate, via alloc_admission) calls
 // maybe_inject_alloc_fault() *before* allocating, so an injected failure is
 // indistinguishable from the real allocator throwing std::bad_alloc — and
 // the counters above are only updated on success, which is what lets tests
@@ -243,11 +245,11 @@ class scoped_alloc_faults {
 
 // --- allocation admission (fault injection + budget) -------------------------
 //
-// The single choke point every tracked allocation passes through. Call
-// sites bracket the real allocation:
+// The single choke point every tracked allocation passes through.
+// tracked_allocate (tracked_alloc.hpp) brackets the raw allocation:
 //
 //   alloc_admission adm(bytes);     // may throw bad_alloc / budget_exceeded
-//   p = ::operator new(bytes);      // may throw the real bad_alloc
+//   p = raw_allocate(bytes);        // mmap or operator new; may throw
 //   adm.commit();                   // note_alloc + release the reservation
 //
 // Admission first runs the fault injector, then — when a budget is active

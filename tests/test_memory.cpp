@@ -2,15 +2,23 @@
 // behind every "space" number in the evaluation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <new>
+#include <vector>
 
 #include "array/parray.hpp"
+#include "benchmarks/policies.hpp"
+#include "memory/budget.hpp"
 #include "memory/counting_allocator.hpp"
+#include "memory/tracked_alloc.hpp"
 #include "memory/tracking.hpp"
+#include "differential.hpp"
 
 namespace {
 
 namespace mem = pbds::memory;
+constexpr std::size_t kHuge = mem::huge_page_bytes;
 
 TEST(Memory, AllocFreeBalance) {
   std::int64_t live0 = mem::bytes_live();
@@ -81,6 +89,155 @@ TEST(Memory, CountingAllocatorEquality) {
   mem::counting_allocator<int> a;
   mem::counting_allocator<double> b;
   EXPECT_TRUE(a == mem::counting_allocator<int>(b));
+}
+
+// --- over-aligned pack buffers ----------------------------------------------
+
+// Copies of an over-aligned element record whether they landed on an
+// alignof(T) boundary. filter packs survivors into tracked_vector buffers,
+// so a counting_allocator that ignores alignof(T) shows up here.
+std::atomic<int> g_misaligned_copies{0};
+
+struct alignas(64) wide64 {
+  std::uint64_t v = 0;
+  wide64() = default;
+  explicit wide64(std::uint64_t x) : v(x) {}
+  wide64(const wide64& o) : v(o.v) {
+    if (reinterpret_cast<std::uintptr_t>(this) % alignof(wide64) != 0)
+      g_misaligned_copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  wide64& operator=(const wide64&) = default;
+};
+
+template <typename P>
+std::vector<std::uint64_t> filter_wide(const pbds::parray<wide64>& in) {
+  auto out = P::to_array(
+      P::filter([](const wide64& w) { return w.v % 3 != 0; }, P::view(in)));
+  std::vector<std::uint64_t> vals;
+  for (const auto& w : out) vals.push_back(w.v);
+  return vals;
+}
+
+TEST(Memory, FilterOverAlignedElementsStaysAligned) {
+  const std::size_t n = 50000;
+  auto in = pbds::parray<wide64>::tabulate(
+      n, [](std::size_t i) { return wide64(i); });
+  std::vector<std::uint64_t> expected;
+  for (std::size_t i = 0; i < n; ++i)
+    if (i % 3 != 0) expected.push_back(i);
+
+  g_misaligned_copies = 0;
+  EXPECT_EQ(filter_wide<pbds::array_policy>(in), expected);
+  EXPECT_EQ(filter_wide<pbds::rad_policy>(in), expected);
+  EXPECT_EQ(filter_wide<pbds::delay_policy>(in), expected);
+  EXPECT_EQ(g_misaligned_copies.load(), 0);
+}
+
+TEST(Memory, CountingAllocatorHonoursAlignment) {
+  mem::tracked_vector<wide64> v;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    v.emplace_back(i);
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
+  }
+}
+
+// --- huge-page-backed large allocations -------------------------------------
+
+// Large-path tests run with the ambient PBDS_* environment cleared: an
+// exported PBDS_BUDGET_BYTES would refuse their multi-MiB buffers. Raw
+// mmap is invisible to LeakSanitizer, so the bytes_live checks here are
+// the leak check for this path.
+class MemoryLarge : public ::testing::Test {
+ protected:
+  pbds::testing::scoped_env env_;
+};
+
+TEST_F(MemoryLarge, LargeParrayAccountsRequestedBytes) {
+  for (std::size_t bytes : {kHuge, kHuge + 1, 5 * kHuge + 4096 + 3}) {
+    const std::int64_t live0 = mem::bytes_live();
+    const std::int64_t total0 = mem::bytes_total();
+    const std::int64_t allocs0 = mem::num_allocs();
+    {
+      auto a = pbds::parray<char>::uninitialized(bytes);
+      EXPECT_EQ(mem::bytes_live() - live0, static_cast<std::int64_t>(bytes));
+      EXPECT_EQ(mem::bytes_total() - total0,
+                static_cast<std::int64_t>(bytes));
+      EXPECT_EQ(mem::num_allocs() - allocs0, 1);
+    }
+    EXPECT_EQ(mem::bytes_live(), live0);
+    EXPECT_EQ(mem::bytes_total() - total0, static_cast<std::int64_t>(bytes));
+  }
+}
+
+struct counter_snapshot {
+  std::int64_t live = mem::bytes_live();
+  std::int64_t total = mem::bytes_total();
+  std::int64_t allocs = mem::num_allocs();
+  std::int64_t reserved =
+      mem::detail::g_budget_reserved.load(std::memory_order_relaxed);
+
+  void expect_unchanged() const {
+    EXPECT_EQ(mem::bytes_live(), live);
+    EXPECT_EQ(mem::bytes_total(), total);
+    EXPECT_EQ(mem::num_allocs(), allocs);
+    EXPECT_EQ(mem::detail::g_budget_reserved.load(std::memory_order_relaxed),
+              reserved);
+  }
+};
+
+TEST_F(MemoryLarge, InjectedFaultOnLargeParrayLeavesCountersUnchanged) {
+  counter_snapshot before;
+  {
+    auto faults = mem::scoped_alloc_faults::fail_nth(0);
+    EXPECT_THROW((void)pbds::parray<char>::uninitialized(4 * kHuge),
+                 std::bad_alloc);
+    EXPECT_EQ(faults.injected(), 1);
+  }
+  before.expect_unchanged();
+}
+
+TEST_F(MemoryLarge, BudgetRefusalOfLargeParrayLeavesCountersUnchanged) {
+  counter_snapshot before;
+  {
+    mem::budget_scope budget(mem::bytes_live() + 2 * kHuge);
+    EXPECT_THROW((void)pbds::parray<char>::uninitialized(4 * kHuge),
+                 pbds::budget_exceeded);
+  }
+  before.expect_unchanged();
+}
+
+TEST_F(MemoryLarge, FailedMappingRetractsReservation) {
+  // 1 PiB exceeds any user address space, so the mapping itself fails —
+  // after admission reserved the bytes against an (ample) budget.
+  constexpr std::size_t kPiB = std::size_t{1} << 50;
+  counter_snapshot before;
+  {
+    mem::budget_scope budget(mem::bytes_live() + 2 * std::int64_t{kPiB});
+    try {
+      (void)pbds::parray<char>::uninitialized(kPiB);
+      ADD_FAILURE() << "a 1 PiB mapping succeeded";
+    } catch (const pbds::budget_exceeded&) {
+      ADD_FAILURE() << "refused by the budget, not by mmap";
+    } catch (const std::bad_alloc&) {
+    }
+  }
+  before.expect_unchanged();
+}
+
+TEST_F(MemoryLarge, TrackedVectorGrowsAcrossThreshold) {
+  const std::int64_t live0 = mem::bytes_live();
+  {
+    mem::tracked_vector<std::uint64_t> v;
+    const std::size_t n = 3 * kHuge / sizeof(std::uint64_t) + 5;
+    for (std::size_t i = 0; i < n; ++i) v.push_back(i * 0x9e3779b97f4a7c15ull);
+    ASSERT_GE(v.capacity() * sizeof(std::uint64_t), kHuge);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kHuge, 0u);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(v[i], i * 0x9e3779b97f4a7c15ull) << "index " << i;
+    EXPECT_EQ(mem::bytes_live() - live0,
+              static_cast<std::int64_t>(v.capacity() * sizeof(std::uint64_t)));
+  }
+  EXPECT_EQ(mem::bytes_live(), live0);
 }
 
 }  // namespace

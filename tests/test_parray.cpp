@@ -4,15 +4,22 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <new>
 #include <string>
 #include <utility>
 
 #include "array/parray.hpp"
+#include "memory/tracked_alloc.hpp"
 #include "memory/tracking.hpp"
+#include "differential.hpp"
 
 namespace {
 
 using pbds::parray;
+constexpr std::size_t kHuge = pbds::memory::huge_page_bytes;
 
 TEST(Parray, DefaultIsEmpty) {
   parray<int> a;
@@ -126,6 +133,91 @@ TEST(Parray, LargeTabulateParallelized) {
   });
   for (std::size_t i = 0; i < a.size(); i += 4097)
     ASSERT_EQ(a[i], static_cast<std::uint32_t>(i ^ 0xdeadbeefu));
+}
+
+TEST(Parray, SizeOverflowIsRejected) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::int64_t live0 = pbds::memory::bytes_live();
+  const std::int64_t allocs0 = pbds::memory::num_allocs();
+  EXPECT_THROW((void)parray<std::uint64_t>::uninitialized(kMax / 4),
+               std::bad_alloc);
+  // (kMax / 8 + 2) * 8 wraps to 8 bytes.
+  EXPECT_THROW((void)parray<std::uint64_t>::uninitialized(kMax / 8 + 2),
+               std::bad_alloc);
+  EXPECT_EQ(pbds::memory::bytes_live(), live0);
+  EXPECT_EQ(pbds::memory::num_allocs(), allocs0);
+}
+
+// Large-path tests run with the ambient PBDS_* environment cleared: an
+// exported PBDS_BUDGET_BYTES would refuse their multi-MiB buffers.
+class ParrayLarge : public ::testing::Test {
+ protected:
+  pbds::testing::scoped_env env_;
+};
+
+TEST_F(ParrayLarge, LargeBufferIsHugePageAligned) {
+  for (std::size_t bytes : {kHuge, kHuge + 1, 3 * kHuge + 123}) {
+    auto a = parray<char>::uninitialized(bytes);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % kHuge, 0u)
+        << bytes << " bytes";
+  }
+  struct alignas(64) wide {
+    double v[8];
+  };
+  auto w = parray<wide>::filled(kHuge / sizeof(wide) + 1, wide{});
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % kHuge, 0u);
+}
+
+TEST_F(ParrayLarge, ElementsDestroyedBeforeUnmap) {
+  // Each destructor reads its element: destroying after the unmap would
+  // fault, and skipping an element would miss the count.
+  static std::atomic<std::int64_t> destroyed{0};
+  struct tagged {
+    std::uint64_t tag = 0x5eed;
+    ~tagged() {
+      if (tag == 0x5eed) destroyed.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  const std::size_t n = 2 * kHuge / sizeof(tagged) + 7;
+  destroyed = 0;
+  {
+    auto a = parray<tagged>::tabulate(n, [](std::size_t) { return tagged{}; });
+    ASSERT_GE(n * sizeof(tagged), kHuge);
+  }
+  EXPECT_EQ(destroyed.load(), static_cast<std::int64_t>(n));
+}
+
+// Sums the AnonHugePages of the /proc/self/smaps mappings overlapping
+// [lo, hi).
+std::int64_t anon_huge_kb(std::uintptr_t lo, std::uintptr_t hi) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  std::int64_t kb = 0;
+  while (std::getline(smaps, line)) {
+    std::uintmax_t start = 0;
+    std::uintmax_t end = 0;
+    long long value = 0;
+    if (std::sscanf(line.c_str(), "%jx-%jx ", &start, &end) == 2) {
+      inside = start < hi && end > lo;
+    } else if (inside &&
+               std::sscanf(line.c_str(), "AnonHugePages: %lld kB", &value) ==
+                   1) {
+      kb += value;
+    }
+  }
+  return kb;
+}
+
+TEST_F(ParrayLarge, TouchedLargeBufferUsesHugePages) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  if (!std::getline(thp, mode) || mode.find("[never]") != std::string::npos)
+    GTEST_SKIP() << "transparent huge pages are disabled (" << mode << ")";
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  auto a = parray<char>::filled(kBytes, 1);
+  const auto lo = reinterpret_cast<std::uintptr_t>(a.data());
+  EXPECT_GT(anon_huge_kb(lo, lo + kBytes), 0);
 }
 
 }  // namespace

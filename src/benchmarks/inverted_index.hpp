@@ -9,19 +9,21 @@
 //      (first-letter bucket, document id) postings — the flattened
 //      postings stream is never materialized,
 //   3. accumulates per-bucket posting counts and checksums via an
-//      effectful fused traversal.
+//      effectful fused traversal, each worker into its own
+//      sched::worker_local copy of the index, and sums the copies after
+//      the join.
 //
 // The whole thing is scan -> zip -> filterOp -> apply, i.e. every fusion
 // feature at once on a realistic text-indexing workload.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <utility>
 
 #include "array/parray.hpp"
+#include "sched/parallel.hpp"
 #include "text/text.hpp"
 
 namespace pbds::bench {
@@ -60,23 +62,25 @@ inverted_index build_index(const parray<char>& corpus) {
             static_cast<std::uint8_t>(c - 'a'), pos_doc.second);
       },
       P::zip(P::iota(n), docids));
-  // Accumulate the index. Fused traversal; atomics because blocks run in
-  // parallel. The doc hash uses a commutative combine so the result is
-  // independent of traversal order.
-  std::array<std::atomic<std::uint64_t>, 26> counts{};
-  std::array<std::atomic<std::uint64_t>, 26> hashes{};
+  // Accumulate the index. Fused traversal; each worker adds into its own
+  // slot with plain +=, and the slots are summed after the join. Wrapping
+  // uint64 addition is commutative, so the result is independent of
+  // traversal order and of which worker ran which block.
+  sched::worker_local<inverted_index> acc;
   P::apply_each(postings,
                 [&](const std::pair<std::uint8_t, std::uint32_t>& bd) {
-                  counts[bd.first].fetch_add(1, std::memory_order_relaxed);
-                  hashes[bd.first].fetch_add(
-                      (bd.second + 1) * 0x9e3779b97f4a7c15ull,
-                      std::memory_order_relaxed);
+                  index_bucket& b = acc.local()[bd.first];
+                  b.postings += 1;
+                  b.doc_hash += (bd.second + 1) * 0x9e3779b97f4a7c15ull;
                 });
-  inverted_index out{};
-  for (int b = 0; b < 26; ++b) {
-    out[b] = index_bucket{counts[b].load(), hashes[b].load()};
-  }
-  return out;
+  return acc.combine(inverted_index{},
+                     [](inverted_index sum, const inverted_index& part) {
+                       for (std::size_t b = 0; b < sum.size(); ++b) {
+                         sum[b].postings += part[b].postings;
+                         sum[b].doc_hash += part[b].doc_hash;
+                       }
+                       return sum;
+                     });
 }
 
 inline inverted_index index_reference(const parray<char>& corpus) {

@@ -114,6 +114,8 @@ template <typename Keep>
 
 // Histogram into `buckets` counters: counts[key(x)]++ over the sequence,
 // fused traversal, relaxed atomics (keys from different blocks collide).
+// Not sched::worker_local: `buckets` is unbounded, so per-worker copies
+// would cost num_slots() × buckets counters.
 template <typename Seq, typename KeyFn>
 [[nodiscard]] parray<std::size_t> histogram(const Seq& s, std::size_t buckets,
                                             const KeyFn& key) {

@@ -7,8 +7,10 @@
 //                               (Fig. 7): a tabulate with no result, i.e.
 //                               f(i) for all 0 <= i < n in parallel. All of
 //                               the sequence libraries bottom out here.
+//   sched::worker_local<T>    — one accumulator slot per worker, combined
+//                               after the join.
 //
-// All three dispatch on the thread's execution mode (exec_policy.hpp):
+// The first three dispatch on the thread's execution mode (exec_policy.hpp):
 // `parallel` uses the work-stealing pool, `sequential` runs depth-first on
 // the calling thread, and `deterministic` replays a seeded single-thread
 // simulation of the scheduler (deterministic.hpp). The mode only changes
@@ -30,6 +32,7 @@
 #include <chrono>
 #include <cstddef>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "sched/cancellation.hpp"
@@ -290,6 +293,64 @@ template <typename F>
 void apply(std::size_t n, const F& f) {
   parallel_for(0, n, f, 1);
 }
+
+namespace sched {
+
+// One accumulator per worker, for bodies of parallel_for / apply that fold
+// into a small shared result: each worker updates its own slot with plain
+// (non-atomic) operations, and the caller combines the slots after the
+// join. There is one cache-line-aligned slot per scheduler slot
+// (scheduler::num_slots(), so enrolled guests get their own) plus one more
+// for threads outside the pool (worker_id() == -1). A region rooted outside
+// the pool, and any region in sequential or deterministic mode, runs on its
+// calling thread alone, so each slot has one writer as long as one
+// worker_local serves one region.
+//
+// Invariant: an update must not fork between its read and its write. A
+// worker that forks may run other work of the same region while it waits
+// at the join, and that work updates the same slot.
+//
+// The slots are plain heap memory, not tracked buffers: they are
+// O(num_slots) scratch that lives for one region, and they leave every
+// space meter and allocation count unchanged.
+template <typename T>
+class worker_local {
+ public:
+  // Every slot starts value-initialised.
+  worker_local()
+      : n_(get_scheduler().num_slots() + 1),
+        slots_(std::make_unique<slot[]>(n_)) {}
+
+  // The calling thread's slot.
+  [[nodiscard]] T& local() noexcept {
+    const int id = scheduler::worker_id();
+    const std::size_t i = id < 0 ? n_ - 1 : static_cast<std::size_t>(id);
+    assert(i < n_ && "worker_local outlived the pool it was sized for");
+    return slots_[i].value;
+  }
+
+  // Fold every slot into `acc` with op(acc, slot). Call after the join.
+  template <typename U, typename Op>
+  [[nodiscard]] U combine(U acc, const Op& op) const {
+    for (std::size_t i = 0; i < n_; ++i)
+      acc = op(std::move(acc), slots_[i].value);
+    return acc;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+  [[nodiscard]] const T& slot_value(std::size_t i) const {
+    return slots_[i].value;
+  }
+
+ private:
+  struct alignas(64) slot {
+    T value;
+  };
+  std::size_t n_;
+  std::unique_ptr<slot[]> slots_;
+};
+
+}  // namespace sched
 
 // --- deadline overloads -----------------------------------------------------
 //

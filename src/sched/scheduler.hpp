@@ -231,6 +231,13 @@ class scheduler {
     return detail::tl_worker_id;
   }
 
+  // Number of distinct worker ids this pool can hand out: the requested
+  // workers plus the guest slots. Every enrolled thread's worker_id() lies
+  // in [0, num_slots()); spawn-failure shrink and repair reuse ids in place.
+  [[nodiscard]] unsigned num_slots() const noexcept {
+    return requested_ + kMaxGuests;
+  }
+
   // Push a job onto the calling worker's deque. Caller must be enrolled.
   // Returns false — job NOT enqueued — when the deque is full; the caller
   // must then execute the job inline (fork2join does), so overflow costs

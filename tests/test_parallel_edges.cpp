@@ -1,11 +1,13 @@
 // parallel_for / fork2join edge cases, across execution modes:
 // empty and single-element ranges, ranges exactly at / one past the
 // granularity boundary, and nested parallelism entered from a thread that
-// is not part of the worker pool.
+// is not part of the worker pool. Also sched::worker_local: per-worker
+// accumulation must sum exactly from every kind of caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -143,6 +145,107 @@ TEST(ParallelForEdges, ApplyUsesGranularityOne) {
   sched::scoped_deterministic g(5, 4);
   apply(9, [](std::size_t) {});
   EXPECT_EQ(g.scheduler().num_forks(), 8u);
+}
+
+// --- worker_local -----------------------------------------------------------
+
+constexpr std::size_t kIncrements = 1'000'000;
+
+std::uint64_t total(const sched::worker_local<std::uint64_t>& acc) {
+  return acc.combine(std::uint64_t{0},
+                     [](std::uint64_t a, std::uint64_t b) { return a + b; });
+}
+
+// Resize the global pool for one test, restoring the previous size after.
+class scoped_pool_size {
+ public:
+  explicit scoped_pool_size(unsigned p) : before_(sched::num_workers()) {
+    sched::set_num_workers(p);
+  }
+  ~scoped_pool_size() { sched::set_num_workers(before_); }
+  scoped_pool_size(const scoped_pool_size&) = delete;
+  scoped_pool_size& operator=(const scoped_pool_size&) = delete;
+
+ private:
+  unsigned before_;
+};
+
+TEST(WorkerLocal, RealPoolSumIsExact) {
+  scoped_pool_size pool(4);
+  sched::worker_local<std::uint64_t> acc;
+  EXPECT_EQ(acc.size(), sched::get_scheduler().num_slots() + 1);
+  parallel_for(0, kIncrements, [&](std::size_t) { acc.local() += 1; });
+  EXPECT_EQ(total(acc), kIncrements);
+}
+
+TEST(WorkerLocal, SequentialAndDeterministicSumsAreExact) {
+  {
+    sched::scoped_sequential g;
+    sched::worker_local<std::uint64_t> acc;
+    parallel_for(0, kIncrements, [&](std::size_t) { acc.local() += 1; });
+    EXPECT_EQ(total(acc), kIncrements);
+  }
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "det seed=" << seed);
+    sched::scoped_deterministic g(seed, 4);
+    sched::worker_local<std::uint64_t> acc;
+    parallel_for(0, kIncrements / 16,
+                 [&](std::size_t) { acc.local() += 1; });
+    EXPECT_EQ(total(acc), kIncrements / 16);
+  }
+}
+
+TEST(WorkerLocal, NonPoolThreadUsesTheExtraSlot) {
+  sched::worker_local<std::uint64_t> acc;
+  std::atomic<bool> outside{false};
+  std::thread outsider([&] {
+    outside = sched::scheduler::worker_id() < 0;
+    parallel_for(0, kIncrements, [&](std::size_t) { acc.local() += 1; });
+  });
+  outsider.join();
+  ASSERT_TRUE(outside.load());
+  EXPECT_EQ(total(acc), kIncrements);
+  EXPECT_EQ(acc.slot_value(acc.size() - 1), kIncrements);
+}
+
+TEST(WorkerLocal, GuestWorkerSumIsExact) {
+  scoped_pool_size pool(4);
+  sched::worker_local<std::uint64_t> acc;
+  std::atomic<int> guest_id{-1};
+  std::thread guest([&] {
+    sched::guest_worker g(sched::get_scheduler());
+    if (!g.enrolled()) return;
+    guest_id = sched::scheduler::worker_id();
+    parallel_for(0, kIncrements, [&](std::size_t) { acc.local() += 1; });
+  });
+  guest.join();
+  // Guests take ids above the workers and below num_slots(), so they never
+  // share the extra slot.
+  ASSERT_GE(guest_id.load(), 4);
+  EXPECT_LT(static_cast<std::size_t>(guest_id.load()), acc.size() - 1);
+  EXPECT_EQ(total(acc), kIncrements);
+  EXPECT_EQ(acc.slot_value(acc.size() - 1), 0u);
+}
+
+TEST(WorkerLocal, NestedParallelForSumIsExact) {
+  scoped_pool_size pool(4);
+  for_each_mode([] {
+    sched::worker_local<std::uint64_t> acc;
+    parallel_for(0, 1000, [&](std::size_t) {
+      parallel_for(0, 1000, [&](std::size_t) { acc.local() += 1; });
+    });
+    EXPECT_EQ(total(acc), kIncrements);
+  });
+}
+
+TEST(WorkerLocal, SlotsAreAtLeastACacheLineApart) {
+  sched::worker_local<std::uint64_t> acc;
+  std::set<std::uintptr_t> addrs;
+  for (std::size_t i = 0; i < acc.size(); ++i)
+    addrs.insert(reinterpret_cast<std::uintptr_t>(&acc.slot_value(i)));
+  ASSERT_EQ(addrs.size(), acc.size());
+  for (auto it = addrs.begin(); std::next(it) != addrs.end(); ++it)
+    EXPECT_GE(*std::next(it) - *it, 64u);
 }
 
 }  // namespace

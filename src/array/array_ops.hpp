@@ -241,10 +241,7 @@ template <typename P, typename T>
       [&](std::size_t j) {
         std::size_t lo = j * blk;
         std::size_t hi = lo + blk < n ? lo + blk : n;
-        buffer out;
-        for (std::size_t i = lo; i < hi; ++i)
-          if (p(src[i])) out.push_back(src[i]);
-        return out;
+        return stream::pack(stream::pointer_stream<T>{src + lo}, hi - lo, p);
       },
       1);
   auto [offsets, m] =
@@ -267,10 +264,8 @@ template <typename F, typename T>
       [&](std::size_t j) {
         std::size_t lo = j * blk;
         std::size_t hi = lo + blk < n ? lo + blk : n;
-        buffer out;
-        for (std::size_t i = lo; i < hi; ++i)
-          if (auto r = f(src[i])) out.push_back(std::move(*r));
-        return out;
+        return stream::pack_op(stream::pointer_stream<T>{src + lo}, hi - lo,
+                               f);
       },
       1);
   auto [offsets, m] =

@@ -363,9 +363,7 @@ template <typename P, typename Seq>
   auto packed = std::make_shared<parray<buffer>>(parray<buffer>::tabulate(
       nb,
       [&](std::size_t j) {
-        buffer out;
-        stream::pack(bd.block(j), bd.block_length(j), p, out);
-        return out;
+        return stream::pack(bd.block(j), bd.block_length(j), p);
       },
       1));
   auto [offsets, m] = detail::piece_offsets(*packed);
@@ -387,9 +385,7 @@ template <typename F, typename Seq>
   auto packed = std::make_shared<parray<buffer>>(parray<buffer>::tabulate(
       nb,
       [&](std::size_t j) {
-        buffer out;
-        stream::pack_op(bd.block(j), bd.block_length(j), f, out);
-        return out;
+        return stream::pack_op(bd.block(j), bd.block_length(j), f);
       },
       1));
   auto [offsets, m] = detail::piece_offsets(*packed);

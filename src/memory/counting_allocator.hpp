@@ -1,10 +1,11 @@
 // std-compatible allocator that reports through pbds::memory's counters.
 //
-// Used for the dynamically-resizing pack buffers inside filter
-// (s.packToArray in the paper, Fig. 8), so that even transient grow/copy
-// allocations show up in the space accounting. Allocations honour
-// alignof(T) and share parray's path (tracked_alloc.hpp), including its
-// huge-page backing once a buffer grows past huge_page_bytes.
+// Used for filter's packed blocks (s.packToArray in the paper, Fig. 8):
+// stream::pack allocates each block's buffer once, at exactly its survivor
+// count, so every packed block shows up in the space accounting.
+// Allocations honour alignof(T) and share parray's path
+// (tracked_alloc.hpp), including its huge-page backing for buffers of at
+// least huge_page_bytes.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +38,7 @@ class counting_allocator {
   }
 };
 
-// Dynamically-resizing buffer whose allocations are space-accounted.
+// std::vector whose allocations are space-accounted.
 template <typename T>
 using tracked_vector = std::vector<T, counting_allocator<T>>;
 

@@ -266,18 +266,14 @@ template <typename P, typename Seq>
   std::size_t n = r.n;
   std::size_t blk = block_size();
   std::size_t nb = num_blocks_for(n, blk);
+  auto index = [&r](std::size_t i) { return r[i]; };
   using buffer = memory::tracked_vector<T>;
   auto packed = parray<buffer>::tabulate(
       nb,
       [&](std::size_t j) {
         std::size_t lo = j * blk;
         std::size_t hi = lo + blk < n ? lo + blk : n;
-        buffer out;
-        for (std::size_t i = lo; i < hi; ++i) {
-          auto x = r[i];
-          if (p(x)) out.push_back(std::move(x));
-        }
-        return out;
+        return stream::pack(stream::tabulate_stream{index, lo}, hi - lo, p);
       },
       1);
   return detail::concat_eager(packed);
@@ -291,17 +287,15 @@ template <typename F, typename Seq>
   std::size_t n = r.n;
   std::size_t blk = block_size();
   std::size_t nb = num_blocks_for(n, blk);
+  auto index = [&r](std::size_t i) { return r[i]; };
   using buffer = memory::tracked_vector<U>;
   auto packed = parray<buffer>::tabulate(
       nb,
       [&](std::size_t j) {
         std::size_t lo = j * blk;
         std::size_t hi = lo + blk < n ? lo + blk : n;
-        buffer out;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (auto v = f(r[i])) out.push_back(std::move(*v));
-        }
-        return out;
+        return stream::pack_op(stream::tabulate_stream{index, lo}, hi - lo,
+                               f);
       },
       1);
   return detail::concat_eager(packed);

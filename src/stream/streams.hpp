@@ -51,6 +51,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <optional>
@@ -564,76 +565,155 @@ void apply(S s, std::size_t n, const G& g) {
   for (std::size_t k = 0; k < n; ++k) g(s.next());
 }
 
-// s.packToArray: keep elements satisfying p, appending to a
-// dynamically-resizing space-accounted buffer. Bulk path: stage source
-// chunks and run the predicate over raw pointers; survivors are appended
-// in the same order with the same growth sequence as the fallback, so the
-// bytes-accounting is identical (the oracle checks this).
+// --- s.packToArray ------------------------------------------------------------
+//
+// filter packs each block in one pass over an n-slot scratch, then copies
+// the survivors into one tracked buffer of exactly their count: a block
+// with k > 0 survivors makes one allocation of k elements, an empty one
+// makes none, and no growth slack stays live. That is the |Y| + |X|/B
+// allocation of the §5 cost semantics, and bulk and fallback paths make
+// the identical allocation (the fast-vs-generic oracle checks this).
+//
+// The scratch is plain untracked memory owned by the thread, grown to the
+// largest block it has packed (block size × sizeof(T)) and reused from
+// block to block. A predicate that forks can make its thread run another
+// block's pack while waiting at a join; that inner pack finds the thread's
+// scratch in use and takes a call-local one instead.
+
+namespace detail {
+
+// Minimum scratch alignment: a cache line (or alignof(T) if larger), so
+// no two threads' scratches share one.
+inline constexpr std::size_t kScratchAlign = 64;
+
+class pack_scratch {
+ public:
+  pack_scratch() = default;
+  pack_scratch(const pack_scratch&) = delete;
+  pack_scratch& operator=(const pack_scratch&) = delete;
+  ~pack_scratch() { release(); }
+
+  // At least `bytes` at `align`; keeps the current buffer when it fits.
+  [[nodiscard]] void* reserve(std::size_t bytes, std::size_t align) {
+    if (bytes > bytes_ || align > align_) {
+      bytes = bytes > bytes_ ? bytes : bytes_;
+      align = align > align_ ? align : align_;
+      void* p = ::operator new(bytes, std::align_val_t(align));
+      release();
+      data_ = p;
+      bytes_ = bytes;
+      align_ = align;
+    }
+    return data_;
+  }
+
+  bool in_use = false;
+
+ private:
+  void release() noexcept {
+    if (data_ != nullptr) ::operator delete(data_, std::align_val_t(align_));
+  }
+
+  void* data_ = nullptr;
+  std::size_t bytes_ = 0;
+  std::size_t align_ = 0;
+};
+
+inline pack_scratch& thread_pack_scratch() {
+  thread_local pack_scratch s;
+  return s;
+}
+
+// The scratch one pack call writes into: the thread's own when it is free,
+// a call-local buffer when a pack further up this thread's stack holds it.
+class scratch_lease {
+ public:
+  scratch_lease(std::size_t bytes, std::size_t align) {
+    pack_scratch& s = thread_pack_scratch();
+    if (s.in_use) {
+      data_ = local_.reserve(bytes, align);
+    } else {
+      data_ = s.reserve(bytes, align);
+      s.in_use = true;
+      owner_ = &s;
+    }
+  }
+  ~scratch_lease() {
+    if (owner_ != nullptr) owner_->in_use = false;
+  }
+  scratch_lease(const scratch_lease&) = delete;
+  scratch_lease& operator=(const scratch_lease&) = delete;
+
+  [[nodiscard]] void* data() const noexcept { return data_; }
+
+ private:
+  pack_scratch* owner_ = nullptr;
+  pack_scratch local_;
+  void* data_ = nullptr;
+};
+
+// fill(buf, k) constructs the survivors of an n-element block into
+// buf[0..k), counting each into k only once it is constructed. They are
+// then moved into one tracked buffer of exactly k elements. The scratch
+// slots are destroyed on every path, including a throw from fill or from
+// the allocation.
+template <typename T, typename Fill>
+[[nodiscard]] memory::tracked_vector<T> pack_exact(std::size_t n,
+                                                   const Fill& fill) {
+  if (n == 0) return {};
+  scratch_lease lease(n * sizeof(T),
+                      alignof(T) > kScratchAlign ? alignof(T) : kScratchAlign);
+  T* buf = static_cast<T*>(lease.data());
+  std::size_t k = 0;
+  struct destroy_survivors {
+    T* buf;
+    const std::size_t& k;
+    ~destroy_survivors() { std::destroy_n(buf, k); }
+  } guard{buf, k};
+  fill(buf, k);
+  if (k == 0) return {};
+  return memory::tracked_vector<T>(std::make_move_iterator(buf),
+                                   std::make_move_iterator(buf + k));
+}
+
+}  // namespace detail
+
+// s.packToArray: the elements of s satisfying p, in order. p runs exactly
+// once per element; the traversal (raw pointer loop, staged chunks, or
+// element at a time) is apply's. Trivially copyable survivors are written
+// branch-free: every element is stored at slot k and k advances by p(x).
 template <typename S, typename P>
-void pack(S s, std::size_t n,
-          const P& p,
-          memory::tracked_vector<typename S::value_type>& out) {
+[[nodiscard]] memory::tracked_vector<typename S::value_type> pack(
+    S s, std::size_t n, const P& p) {
   using T = typename S::value_type;
-  if constexpr (is_pointer_stream_v<S> && stageable_v<T>) {
-    if (bulk_enabled()) {
-      const T* in = s.p;
-      for (std::size_t k = 0; k < n; ++k)
-        if (p(in[k])) out.push_back(in[k]);
-      return;
-    }
-  } else if constexpr (bulk_source<S> && stageable_v<T> &&
-                       direct_bulk_v<S>) {
-    if (bulk_enabled()) {
-      stage_buffer<T> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const T* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k)
-          if (p(in[k])) out.push_back(in[k]);
-        n -= c;
+  return detail::pack_exact<T>(n, [&](T* buf, std::size_t& k) {
+    apply(std::move(s), n, [&](auto&& x) {
+      if constexpr (stageable_v<T>) {
+        ::new (static_cast<void*>(buf + k)) T(x);
+        k += p(x) ? 1 : 0;
+      } else if (p(x)) {
+        ::new (static_cast<void*>(buf + k)) T(std::forward<decltype(x)>(x));
+        ++k;
       }
-      return;
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    auto x = s.next();
-    if (p(x)) out.push_back(std::move(x));
-  }
+    });
+  });
 }
 
 // packToArray for filterOp / mapMaybe: f returns std::optional<U>; keep
-// the unwrapped values. f runs exactly once per element in both paths
-// (filter_op's predicates may be effectful — BFS's compare-and-swap).
-template <typename S, typename F, typename U>
-void pack_op(S s, std::size_t n, const F& f,
-             memory::tracked_vector<U>& out) {
-  using T = typename S::value_type;
-  if constexpr (is_pointer_stream_v<S> && stageable_v<T>) {
-    if (bulk_enabled()) {
-      const T* in = s.p;
-      for (std::size_t k = 0; k < n; ++k)
-        if (auto r = f(in[k])) out.push_back(std::move(*r));
-      return;
-    }
-  } else if constexpr (bulk_source<S> && stageable_v<T> &&
-                       direct_bulk_v<S>) {
-    if (bulk_enabled()) {
-      stage_buffer<T> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const T* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k)
-          if (auto r = f(in[k])) out.push_back(std::move(*r));
-        n -= c;
+// the unwrapped values. f runs exactly once per element (filter_op's
+// predicates may be effectful — BFS's compare-and-swap).
+template <typename S, typename F>
+[[nodiscard]] auto pack_op(S s, std::size_t n, const F& f) {
+  using U = typename std::invoke_result_t<const F&,
+                                          typename S::value_type>::value_type;
+  return detail::pack_exact<U>(n, [&](U* buf, std::size_t& k) {
+    apply(std::move(s), n, [&](auto&& x) {
+      if (auto r = f(std::forward<decltype(x)>(x))) {
+        ::new (static_cast<void*>(buf + k)) U(std::move(*r));
+        ++k;
       }
-      return;
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (auto r = f(s.next())) out.push_back(std::move(*r));
-  }
+    });
+  });
 }
 
 }  // namespace pbds::stream

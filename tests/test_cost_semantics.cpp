@@ -11,6 +11,7 @@
 #include "core/delayed.hpp"
 #include "cost/cost.hpp"
 #include "cost/rw_model.hpp"
+#include "memory/counting_allocator.hpp"
 #include "memory/tracking.hpp"
 
 namespace {
@@ -126,6 +127,43 @@ TEST(CostModel, ModelMatchesMeasuredScanAllocation) {
   // (the implementation also allocates phase-1 sums and reduce partials).
   EXPECT_LE(measured_elems, 4 * predicted_elems + 16);
   EXPECT_LE(predicted_elems, 4 * measured_elems + 16);
+}
+
+TEST(CostModel, ModelMatchesMeasuredFilterAllocation) {
+  // filter packs each block's survivors into one buffer of exactly their
+  // count, so its measured bytes are the §5 prediction |Y| + |X|/B
+  // elements plus only per-block bookkeeping: each block's piece header (a
+  // tracked_vector), its size, its scanned size and its offset slot.
+  using T = std::int64_t;
+  constexpr std::int64_t kBookkeepingBytesPerBlock =
+      sizeof(pbds::memory::tracked_vector<T>) + 3 * sizeof(std::size_t);
+  // The offsets' closing slot, and the sum and partial of the size scan's
+  // one block (65 sizes fit in a block of 256).
+  constexpr std::int64_t kFixedBytes = 3 * sizeof(std::size_t);
+  scoped_block_size guard(256);
+  const std::size_t n = 256 * 64 + 100;
+  const std::int64_t blocks = static_cast<std::int64_t>(n / 256 + 1);
+  auto keep = [](T x) { return x % 3 == 0 || x % 256 == 7; };
+  std::size_t survivors = 0;
+  for (std::size_t i = 0; i < n; ++i) survivors += keep(T(i)) ? 1 : 0;
+  // Model (elements):
+  c::cost_meter m;
+  auto x = c::tabulate(m, n);
+  (void)c::filter(m, x, survivors);
+  const auto predicted_bytes =
+      static_cast<std::int64_t>(m.total().alloc) * std::int64_t{sizeof(T)};
+  // Measured:
+  pbds::memory::space_meter meter;
+  auto y = pbds::delayed::filter(
+      keep, pbds::delayed::tabulate(n, [](std::size_t i) { return T(i); }));
+  ASSERT_EQ(pbds::delayed::length(y), survivors);
+  const std::int64_t measured_bytes = meter.allocated_bytes();
+  EXPECT_GE(measured_bytes, predicted_bytes);
+  EXPECT_LE(measured_bytes - predicted_bytes,
+            blocks * (kBookkeepingBytesPerBlock - std::int64_t{sizeof(T)}) +
+                kFixedBytes)
+      << "predicted " << predicted_bytes << " B, measured " << measured_bytes
+      << " B over " << blocks << " blocks";
 }
 
 TEST(CostModel, Fig5ReadWriteTotals) {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstdint>
 #include <new>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "array/parray.hpp"
@@ -139,6 +141,102 @@ TEST(Memory, CountingAllocatorHonoursAlignment) {
     v.emplace_back(i);
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
   }
+}
+
+// --- exact-size pack buffers -------------------------------------------------
+
+// filter packs each block's survivors into one tracked buffer of exactly
+// their count. Against an all-rejecting filter over the same source (same
+// piece table, sizes, offsets and scan partials), a filter that keeps k
+// elements in b non-empty blocks must therefore add exactly b allocations
+// and k * sizeof(T) bytes; array and rad then add their concatenated
+// output (one allocation of k elements, none when k == 0).
+constexpr std::size_t kPackBlock = 64;
+constexpr std::size_t kPackN = kPackBlock * 10 + 17;  // ragged last block
+
+std::uint64_t key(std::int64_t x) { return static_cast<std::uint64_t>(x); }
+std::uint64_t key(const wide64& w) { return w.v; }
+
+// Every fifth element is dropped and every third block keeps nothing.
+bool keep(std::uint64_t x) { return x % 5 != 0 && (x / kPackBlock) % 3 != 1; }
+
+struct alloc_delta {
+  std::int64_t allocs;
+  std::int64_t bytes;
+};
+
+template <typename Fn>
+alloc_delta measure(const Fn& fn) {
+  mem::space_meter m;
+  { auto out = fn(); }
+  return {m.alloc_count(), m.allocated_bytes()};
+}
+
+template <typename P, typename T, typename Src>
+void expect_filter_allocates_survivors(const Src& src, const char* source) {
+  SCOPED_TRACE(::testing::Message() << P::name << " over " << source);
+  std::int64_t survivors = 0, nonempty = 0;
+  for (std::size_t lo = 0; lo < kPackN; lo += kPackBlock) {
+    std::int64_t k = 0;
+    for (std::size_t i = lo; i < lo + kPackBlock && i < kPackN; ++i)
+      k += keep(i) ? 1 : 0;
+    survivors += k;
+    nonempty += k > 0 ? 1 : 0;
+  }
+  ASSERT_GT(survivors, 0);
+  ASSERT_LT(nonempty, static_cast<std::int64_t>(kPackN / kPackBlock));
+  const bool eager = !std::is_same_v<P, pbds::delay_policy>;
+  const std::int64_t bytes = survivors * static_cast<std::int64_t>(sizeof(T));
+  const std::int64_t want_allocs = nonempty + (eager ? 1 : 0);
+  const std::int64_t want_bytes = bytes + (eager ? bytes : 0);
+
+  auto p = [](const T& x) { return keep(key(x)); };
+  auto none = [](const T&) { return false; };
+  auto op = [](const T& x) -> std::optional<T> {
+    if (keep(key(x))) return x;
+    return std::nullopt;
+  };
+  auto op_none = [](const T&) -> std::optional<T> { return std::nullopt; };
+
+  for (bool bulk : {true, false}) {
+    SCOPED_TRACE(bulk ? "bulk paths" : "element-at-a-time fallback");
+    std::optional<pbds::stream::scoped_bulk_disable> off;
+    if (!bulk) off.emplace();
+    auto f0 = measure([&] { return P::filter(none, src); });
+    auto f1 = measure([&] { return P::filter(p, src); });
+    EXPECT_EQ(f1.allocs - f0.allocs, want_allocs) << "filter";
+    EXPECT_EQ(f1.bytes - f0.bytes, want_bytes) << "filter";
+    auto g0 = measure([&] { return P::filter_op(op_none, src); });
+    auto g1 = measure([&] { return P::filter_op(op, src); });
+    EXPECT_EQ(g1.allocs - g0.allocs, want_allocs) << "filter_op";
+    EXPECT_EQ(g1.bytes - g0.bytes, want_bytes) << "filter_op";
+    EXPECT_EQ(P::length(P::filter(p, src)),
+              static_cast<std::size_t>(survivors));
+  }
+}
+
+template <typename P, typename T>
+void expect_filters_allocate_survivors() {
+  auto in = pbds::parray<T>::tabulate(
+      kPackN, [](std::size_t i) { return T(i); });
+  expect_filter_allocates_survivors<P, T>(P::view(in), "a pointer source");
+  // A filter's output: a region BID (staged runs) for delay, a parray
+  // for array and rad.
+  auto region = P::filter([](const T&) { return true; }, P::view(in));
+  expect_filter_allocates_survivors<P, T>(region, "a region source");
+  // Index-computed elements: a tabulate stream for delay and rad.
+  auto computed = P::tabulate(kPackN, [](std::size_t i) { return T(i); });
+  expect_filter_allocates_survivors<P, T>(computed, "a compute source");
+}
+
+TEST(Memory, FilterAllocatesExactlyWhatItKeeps) {
+  pbds::scoped_block_size blk(kPackBlock);
+  expect_filters_allocate_survivors<pbds::array_policy, std::int64_t>();
+  expect_filters_allocate_survivors<pbds::rad_policy, std::int64_t>();
+  expect_filters_allocate_survivors<pbds::delay_policy, std::int64_t>();
+  expect_filters_allocate_survivors<pbds::array_policy, wide64>();
+  expect_filters_allocate_survivors<pbds::rad_policy, wide64>();
+  expect_filters_allocate_survivors<pbds::delay_policy, wide64>();
 }
 
 // --- huge-page-backed large allocations -------------------------------------

@@ -64,6 +64,9 @@ enum class counter : unsigned {
   budget_admissions,
   budget_refusals,
   budget_retries,
+  mapping_bytes_reused,  // large-buffer bytes backed by cached pages
+  mapping_bytes_fresh,   // large-buffer bytes left to fault in fresh
+  mapping_cache_drains,  // cached pages given back to the kernel
   // recovery
   blocks_salvaged,
   blocks_redone,
@@ -87,7 +90,8 @@ inline constexpr std::size_t kNumCounters =
       "forks",          "joins",          "steals",
       "failed_steals",  "heartbeats",     "stalls",
       "workers_lost",   "repairs",        "budget_admissions",
-      "budget_refusals", "budget_retries", "blocks_salvaged",
+      "budget_refusals", "budget_retries", "mapping_bytes_reused",
+      "mapping_bytes_fresh", "mapping_cache_drains", "blocks_salvaged",
       "blocks_redone",  "blocks_quarantined", "jobs_admitted",
       "jobs_shed",      "jobs_retried",   "jobs_completed",
       "jobs_failed",    "breaker_trips",  "breaker_probes",

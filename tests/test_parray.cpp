@@ -4,8 +4,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <new>
 #include <string>
@@ -15,6 +13,7 @@
 #include "memory/tracked_alloc.hpp"
 #include "memory/tracking.hpp"
 #include "differential.hpp"
+#include "smaps.hpp"
 
 namespace {
 
@@ -169,8 +168,9 @@ TEST_F(ParrayLarge, LargeBufferIsHugePageAligned) {
 }
 
 TEST_F(ParrayLarge, ElementsDestroyedBeforeUnmap) {
-  // Each destructor reads its element: destroying after the unmap would
-  // fault, and skipping an element would miss the count.
+  // Each destructor reads its element: destroying after the release would
+  // read pages the buffer no longer owns, and skipping an element would
+  // miss the count.
   static std::atomic<std::int64_t> destroyed{0};
   struct tagged {
     std::uint64_t tag = 0x5eed;
@@ -187,37 +187,14 @@ TEST_F(ParrayLarge, ElementsDestroyedBeforeUnmap) {
   EXPECT_EQ(destroyed.load(), static_cast<std::int64_t>(n));
 }
 
-// Sums the AnonHugePages of the /proc/self/smaps mappings overlapping
-// [lo, hi).
-std::int64_t anon_huge_kb(std::uintptr_t lo, std::uintptr_t hi) {
-  std::ifstream smaps("/proc/self/smaps");
-  std::string line;
-  bool inside = false;
-  std::int64_t kb = 0;
-  while (std::getline(smaps, line)) {
-    std::uintmax_t start = 0;
-    std::uintmax_t end = 0;
-    long long value = 0;
-    if (std::sscanf(line.c_str(), "%jx-%jx ", &start, &end) == 2) {
-      inside = start < hi && end > lo;
-    } else if (inside &&
-               std::sscanf(line.c_str(), "AnonHugePages: %lld kB", &value) ==
-                   1) {
-      kb += value;
-    }
-  }
-  return kb;
-}
-
 TEST_F(ParrayLarge, TouchedLargeBufferUsesHugePages) {
-  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
-  std::string mode;
-  if (!std::getline(thp, mode) || mode.find("[never]") != std::string::npos)
-    GTEST_SKIP() << "transparent huge pages are disabled (" << mode << ")";
+  if (!pbds::testing::thp_available())
+    GTEST_SKIP() << "transparent huge pages are disabled ("
+                 << pbds::testing::thp_mode() << ")";
   constexpr std::size_t kBytes = std::size_t{64} << 20;
   auto a = parray<char>::filled(kBytes, 1);
   const auto lo = reinterpret_cast<std::uintptr_t>(a.data());
-  EXPECT_GT(anon_huge_kb(lo, lo + kBytes), 0);
+  EXPECT_GT(pbds::testing::anon_huge_kb(lo, lo + kBytes), 0);
 }
 
 }  // namespace
